@@ -20,7 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use csat_netlist::Lit;
-use csat_sim::{Correlation, CorrelationResult, Relation};
+use csat_sim::{Correlation, CorrelationResult, Relation, Witnesses};
 use csat_telemetry::{NoOpObserver, Observer, SolverEvent, SubproblemOutcome};
 use csat_types::Interrupt;
 use rand::rngs::StdRng;
@@ -95,6 +95,10 @@ pub struct ExplicitReport {
     pub aborted: usize,
     /// Sub-problems that turned out satisfiable.
     pub satisfiable: usize,
+    /// Orientations settled by a model stored from an earlier satisfiable
+    /// orientation, with no solve. Their sub-problems count as
+    /// [`satisfiable`](Self::satisfiable).
+    pub witnessed: usize,
     /// Sub-problems whose solve panicked; the panic was contained, the
     /// solver rebuilt, and the sequence continued (see
     /// [`run_budgeted_observed`]).
@@ -203,6 +207,13 @@ pub fn run_budgeted(
 /// sub-problems as time remaining, and when it fires the pass stops early
 /// with [`ExplicitReport::interrupted`] set.
 ///
+/// Every satisfiable orientation's model is kept, evaluated over the whole
+/// circuit. A later orientation that one of these witnesses already
+/// satisfies is counted satisfiable without a solve (see
+/// [`ExplicitReport::witnessed`]): no clause is recorded for it either
+/// way, so skipping it forgoes only the conflicts its search would have
+/// learned along the way.
+///
 /// Each sub-solve runs behind `catch_unwind`: a panic inside one
 /// sub-problem is contained, the solver is rebuilt over the same circuit
 /// (re-installing correlations and any already-recorded explicit cores),
@@ -224,6 +235,7 @@ where
     let selected = select_and_order(solver, correlations, options);
     // Cores recorded so far, for rebuilding a panicked solver.
     let mut recorded: Vec<Vec<Lit>> = Vec::new();
+    let mut witnesses = Witnesses::new(solver.aig().len());
     'outer: for c in selected {
         if let Some(token) = &outer.cancel {
             if token.is_cancelled() {
@@ -258,6 +270,11 @@ where
         let mut panicked = false;
         let mut stop: Option<Interrupt> = None;
         for assumptions in subproblem_assumptions(&c) {
+            if witnesses.satisfies(&assumptions) {
+                report.witnessed += 1;
+                any_sat = true;
+                continue;
+            }
             let result = catch_unwind(AssertUnwindSafe(|| {
                 solver.solve_under(&assumptions, &sub_budget, &mut *obs)
             }));
@@ -273,7 +290,14 @@ where
                 }
                 // The correlation does not hold on this orientation; the
                 // conflicts hit along the way still taught something.
-                Ok(SubVerdict::Sat(_)) => any_sat = true,
+                Ok(SubVerdict::Sat(model)) => {
+                    witnesses.push(&solver.aig().evaluate(&model));
+                    debug_assert!(
+                        witnesses.satisfies(&assumptions),
+                        "a model meets its assumptions"
+                    );
+                    any_sat = true;
+                }
                 Ok(SubVerdict::Aborted(reason)) => match reason {
                     // The outer budget (not the per-sub-problem one) is
                     // exhausted: no later sub-solve can proceed either.
@@ -460,6 +484,37 @@ mod tests {
                 "{ordering:?} must stay sound"
             );
         }
+    }
+
+    #[test]
+    fn witness_skips_keep_the_proof_log_checkable() {
+        // A self-miter of a mixed instance: the cross-copy correlations
+        // hold, but many within-copy ones do not, so orientations are
+        // settled by stored witnesses while the proof log is recording.
+        let (mut circuit, objective) = generators::vliw_like(
+            7,
+            &generators::VliwOptions {
+                inputs: 24,
+                core_gates: 300,
+                clauses: 300,
+                clause_width: 4,
+            },
+        );
+        circuit.clear_outputs();
+        circuit.set_output("sat", objective);
+        let m = miter::self_miter(&circuit, Default::default());
+        let correlations = find_correlations(&m.aig, &SimulationOptions::default());
+        let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
+        solver.set_correlations(&correlations);
+        solver.start_proof();
+        let report = run(&mut solver, &correlations, &ExplicitOptions::default());
+        assert!(report.witnessed > 0, "{report:?}");
+        assert!(solver.solve(m.objective).is_unsat());
+        let proof = solver.take_proof();
+        assert_eq!(
+            crate::proof::verify_unsat(&m.aig, &proof, m.objective),
+            Ok(())
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use csat_core::{Session, SolverOptions};
 use csat_netlist::{Aig, Lit, Node, NodeId};
-use csat_sim::{find_correlations_observed, Relation, SimulationOptions};
+use csat_sim::{find_correlations_observed, Relation, SimulationOptions, Witnesses};
 use csat_telemetry::{NoOpObserver, Observer, SolverEvent};
 use csat_types::{Budget, BudgetMeter, Interrupt, SubVerdict};
 
@@ -451,10 +451,10 @@ impl PrepPipeline {
         session.set_correlations(&correlations);
         let per_candidate = budget_for_candidate(budget, self.options.proof_conflicts);
         let mut proven: Vec<Option<Lit>> = vec![None; aig.len()];
-        // Node-value vectors of counterexample patterns harvested from
-        // refuted candidates; they pre-filter later candidates the same
-        // way additional random patterns would.
-        let mut counterexamples: Vec<Vec<bool>> = Vec::new();
+        // Counterexample patterns harvested from refuted candidates; they
+        // pre-filter later candidates the same way additional random
+        // patterns would.
+        let mut counterexamples = Witnesses::new(aig.len());
         for c in &candidates {
             let (later, earlier) = if c.a.index() >= c.b.index() {
                 (c.a, c.b)
@@ -473,19 +473,17 @@ impl PrepPipeline {
             let l = later.lit();
             // Counterexample refinement: a pattern that already
             // distinguishes the pair refutes it without solving.
-            if counterexamples
-                .iter()
-                .any(|values| lit_of(values, l) != lit_of(values, target))
-            {
+            let differences = [[l, !target], [!l, target]];
+            if differences.iter().any(|d| counterexamples.satisfies(d)) {
                 stats.undecided += 1;
                 continue;
             }
             // Prove l == target by refuting both difference orientations.
             let mut outcome = CandidateOutcome::Proven;
-            for assumptions in [[l, !target], [!l, target]] {
+            for assumptions in differences {
                 match session.solve_under(&assumptions, &per_candidate, &mut *obs) {
                     SubVerdict::Sat(model) => {
-                        counterexamples.push(aig.evaluate(&model));
+                        counterexamples.push(&aig.evaluate(&model));
                         outcome = CandidateOutcome::Refuted;
                         break;
                     }
@@ -550,11 +548,6 @@ fn budget_for_candidate(outer: &Budget, proof_conflicts: u64) -> Budget {
     outer
         .clone()
         .with_conflict_limit(Some(proof_conflicts.max(1)))
-}
-
-/// Evaluates a literal against a node-value vector.
-fn lit_of(values: &[bool], l: Lit) -> bool {
-    values[l.node().index()] ^ l.is_complemented()
 }
 
 /// Follows proven-equivalence links to the final representative.

@@ -263,15 +263,7 @@ pub fn execute(
         Some(v) => JobStatus::from_verdict(v),
         None => JobStatus::Panicked,
     };
-    // Models are spot-checked before they leave the process: a daemon
-    // must not propagate a bad model to a client that trusts it.
-    if let JobStatus::Sat(model) = &status {
-        debug_assert!(csat_core::check_model(
-            &instance.aig,
-            model,
-            instance.objective
-        ));
-    }
+    let status = checked(status, instance);
     ExecOutcome {
         conflicts: metrics.conflicts,
         decisions: metrics.decisions,
@@ -279,6 +271,22 @@ pub fn execute(
         retried,
         status,
         metrics,
+    }
+}
+
+/// Checks a finished job's model before it leaves the process: a daemon
+/// must not propagate a bad model to a client that trusts it. A model that
+/// has the wrong arity or misses the objective becomes
+/// [`JobStatus::Panicked`], an internal error the circuit breaker charges.
+fn checked(status: JobStatus, instance: &LoadedInstance) -> JobStatus {
+    match status {
+        JobStatus::Sat(model)
+            if model.len() != instance.aig.inputs().len()
+                || !csat_core::check_model(&instance.aig, &model, instance.objective) =>
+        {
+            JobStatus::Panicked
+        }
+        other => other,
     }
 }
 
@@ -449,6 +457,18 @@ mod tests {
         let mut negated = req_inline("j2", AND2);
         negated.negate = true;
         assert!(matches!(run(&negated).status, JobStatus::Sat(_)));
+    }
+
+    #[test]
+    fn wrong_models_never_leave_as_sat() {
+        let instance = load_instance(&req_inline("j", AND2)).unwrap();
+        let good = JobStatus::Sat(vec![true, true]);
+        assert_eq!(checked(good.clone(), &instance), good);
+        for bad in [vec![true, false], vec![true], vec![true, true, true]] {
+            assert_eq!(checked(JobStatus::Sat(bad), &instance), JobStatus::Panicked);
+        }
+        let unsat = JobStatus::Unsat;
+        assert_eq!(checked(unsat.clone(), &instance), unsat);
     }
 
     #[test]

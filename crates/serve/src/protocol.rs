@@ -341,7 +341,8 @@ pub enum JobStatus {
     Unsat,
     /// Stopped without an answer for this reason.
     Unknown(Interrupt),
-    /// The job panicked; the daemon caught it and kept serving.
+    /// The job panicked, or its model failed the release-build check; the
+    /// daemon caught it and kept serving.
     Panicked,
 }
 

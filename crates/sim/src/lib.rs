@@ -36,6 +36,7 @@ mod correlate;
 mod engine;
 pub mod fault;
 mod parallel;
+mod witness;
 
 pub use correlate::{
     find_correlations, find_correlations_observed, Correlation, CorrelationResult, EquivClass,
@@ -44,3 +45,4 @@ pub use correlate::{
 pub use engine::{fingerprint, normalized_eq, polarity_mask, SimEngine, SimStats};
 pub use fault::{all_faults, simulate_faults, Fault, FaultCoverage};
 pub use parallel::{fill_random_words, random_input_words, seeded_rng, simulate_words};
+pub use witness::Witnesses;

@@ -390,8 +390,8 @@ fn main() -> ExitCode {
                 obs,
             );
             eprintln!(
-                "c explicit learning: {}/{} sub-problems refuted",
-                report.refuted, report.subproblems
+                "c explicit learning: {}/{} sub-problems refuted, {} orientations witnessed",
+                report.refuted, report.subproblems, report.witnessed
             );
             if report.panicked > 0 {
                 eprintln!(

@@ -480,8 +480,8 @@ fn solve_sequential(
                         obs,
                     );
                     eprintln!(
-                        "c explicit learning: {} sub-problems ({} refuted)",
-                        report.subproblems, report.refuted
+                        "c explicit learning: {} sub-problems ({} refuted, {} orientations witnessed)",
+                        report.subproblems, report.refuted, report.witnessed
                     );
                     if let Some(reason) = report.interrupted {
                         eprintln!("c explicit learning interrupted: {reason}");

@@ -3,8 +3,10 @@
 //! fraction, on both SAT and UNSAT instances.
 
 use csat::core::{
-    explicit, CorrelationMode, ExplicitOptions, Solver, SolverOptions, SubproblemOrdering, Verdict,
+    check_model, explicit, CorrelationMode, ExplicitOptions, Solver, SolverOptions,
+    SubproblemOrdering, Verdict,
 };
+use csat::netlist::generators::VliwOptions;
 use csat::netlist::{generators, miter, optimize};
 use csat::sim::{find_correlations, SimulationOptions};
 
@@ -153,4 +155,84 @@ fn topological_ordering_never_slower_in_conflicts_on_multiplier() {
         topo <= reverse,
         "topological ({topo}) should need no more conflicts than reverse ({reverse})"
     );
+}
+
+const ORDERINGS: [SubproblemOrdering; 3] = [
+    SubproblemOrdering::Topological,
+    SubproblemOrdering::Reverse,
+    SubproblemOrdering::Random(5),
+];
+
+#[test]
+fn satisfiable_orientations_are_settled_by_stored_witnesses() {
+    // Mixed circuit+CNF instances carry many correlations that do not
+    // hold; once one orientation's model is stored, later orientations it
+    // already satisfies are counted satisfiable without a solve.
+    let (aig, objective) = generators::vliw_like(
+        7,
+        &VliwOptions {
+            inputs: 24,
+            core_gates: 400,
+            clauses: 300,
+            clause_width: 4,
+        },
+    );
+    let correlations = find_correlations(&aig, &SimulationOptions::default());
+    for ordering in ORDERINGS {
+        let mut solver = Solver::new(&aig, SolverOptions::with_implicit_learning());
+        solver.set_correlations(&correlations);
+        let report = explicit::run(
+            &mut solver,
+            &correlations,
+            &ExplicitOptions {
+                ordering,
+                ..Default::default()
+            },
+        );
+        assert!(report.witnessed > 0, "{ordering:?}: {report:?}");
+        assert!(report.witnessed <= 2 * report.satisfiable, "{report:?}");
+        assert_eq!(
+            report.subproblems,
+            report.refuted + report.aborted + report.satisfiable
+        );
+        match solver.solve(objective) {
+            Verdict::Sat(model) => assert!(check_model(&aig, &model, objective), "{ordering:?}"),
+            other => panic!("{ordering:?}: expected SAT, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn unsat_miters_store_no_witnesses_and_repeat_exactly() {
+    // On equivalence miters the correlations hold, so no orientation is
+    // satisfiable and the pass behaves exactly as with no witness pool:
+    // two runs give identical reports and solver statistics.
+    for base in [
+        generators::array_multiplier(5),
+        generators::ripple_carry_adder(8),
+    ] {
+        let variant = optimize::restructure_seeded(&base, 7);
+        let m = miter::build_fresh(&base, &variant, Default::default());
+        let correlations = find_correlations(&m.aig, &SimulationOptions::default());
+        for ordering in ORDERINGS {
+            let run_once = || {
+                let mut solver = Solver::new(&m.aig, SolverOptions::with_implicit_learning());
+                solver.set_correlations(&correlations);
+                let report = explicit::run(
+                    &mut solver,
+                    &correlations,
+                    &ExplicitOptions {
+                        ordering,
+                        ..Default::default()
+                    },
+                );
+                assert!(solver.solve(m.objective).is_unsat(), "{ordering:?}");
+                let counts = (report.subproblems, report.refuted, report.satisfiable);
+                (report.witnessed, counts, *solver.stats())
+            };
+            let first = run_once();
+            assert_eq!(first.0, 0, "{ordering:?}");
+            assert_eq!(first, run_once(), "{ordering:?}");
+        }
+    }
 }
