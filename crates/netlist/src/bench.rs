@@ -28,12 +28,13 @@
 //! # }
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::{Aig, Lit, ParseBenchError};
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum GateKind {
     And,
     Nand,
@@ -47,171 +48,301 @@ enum GateKind {
 }
 
 impl GateKind {
-    fn from_str(s: &str) -> Option<GateKind> {
-        match s.to_ascii_uppercase().as_str() {
-            "AND" => Some(GateKind::And),
-            "NAND" => Some(GateKind::Nand),
-            "OR" => Some(GateKind::Or),
-            "NOR" => Some(GateKind::Nor),
-            "XOR" => Some(GateKind::Xor),
-            "XNOR" => Some(GateKind::Xnor),
-            "NOT" | "INV" => Some(GateKind::Not),
-            "BUF" | "BUFF" => Some(GateKind::Buf),
-            "DFF" => Some(GateKind::Dff),
-            _ => None,
-        }
+    fn from_keyword(s: &str) -> Option<GateKind> {
+        const KEYWORDS: [(&str, GateKind); 11] = [
+            ("AND", GateKind::And),
+            ("NAND", GateKind::Nand),
+            ("OR", GateKind::Or),
+            ("NOR", GateKind::Nor),
+            ("XOR", GateKind::Xor),
+            ("XNOR", GateKind::Xnor),
+            ("NOT", GateKind::Not),
+            ("INV", GateKind::Not),
+            ("BUF", GateKind::Buf),
+            ("BUFF", GateKind::Buf),
+            ("DFF", GateKind::Dff),
+        ];
+        KEYWORDS
+            .iter()
+            .find(|(keyword, _)| s.eq_ignore_ascii_case(keyword))
+            .map(|&(_, kind)| kind)
     }
 }
 
-#[derive(Clone, Debug)]
-struct GateDef {
+/// One gate line: its kind, the interned id of the signal it defines,
+/// and its fanins as a range of [`Netlist::fanins`].
+#[derive(Clone, Copy, Debug)]
+struct Gate {
     kind: GateKind,
-    fanins: Vec<String>,
+    name: u32,
+    fanins: (u32, u32),
     line: usize,
 }
 
-/// Parses a `.bench` netlist into an [`Aig`].
-///
-/// # Errors
-///
-/// Returns [`ParseBenchError`] on syntax errors, unknown gate types, wrong
-/// arities, undefined signals, duplicate definitions, or combinational
-/// cycles.
-pub fn parse(source: &str) -> Result<Aig, ParseBenchError> {
-    let mut inputs: Vec<(String, usize)> = Vec::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut gates: HashMap<String, GateDef> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
+/// The parsed text, before any node is built: every name interned once
+/// into a dense id that indexes `names` and `gate_of`.
+struct Netlist<'a> {
+    ids: HashMap<&'a str, u32>,
+    names: Vec<&'a str>,
+    /// Per name id: the index into `gates` of its defining line.
+    gate_of: Vec<Option<u32>>,
+    gates: Vec<Gate>,
+    fanins: Vec<u32>,
+    inputs: Vec<(u32, usize)>,
+    outputs: Vec<(u32, usize)>,
+}
 
-    for (lineno, raw) in source.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
+impl<'a> Netlist<'a> {
+    /// Pre-sizes the tables for about `names` names (one gate each).
+    fn with_capacity(names: usize) -> Netlist<'a> {
+        Netlist {
+            ids: HashMap::with_capacity(names),
+            names: Vec::with_capacity(names),
+            gate_of: Vec::with_capacity(names),
+            gates: Vec::with_capacity(names),
+            fanins: Vec::with_capacity(2 * names),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
         }
-        .trim();
-        if line.is_empty() {
-            continue;
+    }
+
+    fn intern(&mut self, name: &'a str) -> u32 {
+        match self.ids.entry(name) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = self.names.len() as u32;
+                e.insert(id);
+                self.names.push(name);
+                self.gate_of.push(None);
+                id
+            }
         }
-        if let Some(rest) = strip_directive(line, "INPUT") {
-            inputs.push((rest.to_string(), lineno));
-        } else if let Some(rest) = strip_directive(line, "OUTPUT") {
-            outputs.push((rest.to_string(), lineno));
-        } else if let Some(eq) = line.find('=') {
-            let name = line[..eq].trim().to_string();
-            if name.is_empty() {
-                return Err(ParseBenchError::new(
-                    lineno,
-                    "missing signal name before '='",
-                ));
-            }
-            let rhs = line[eq + 1..].trim();
-            let open = rhs.find('(').ok_or_else(|| {
-                ParseBenchError::new(lineno, format!("expected gate expression, found '{rhs}'"))
-            })?;
-            if !rhs.ends_with(')') {
-                return Err(ParseBenchError::new(lineno, "missing closing parenthesis"));
-            }
-            let kind_str = rhs[..open].trim();
-            let kind = GateKind::from_str(kind_str).ok_or_else(|| {
-                ParseBenchError::new(lineno, format!("unknown gate type '{kind_str}'"))
-            })?;
-            let args = rhs[open + 1..rhs.len() - 1]
-                .split(',')
-                .map(|a| a.trim().to_string())
-                .filter(|a| !a.is_empty())
-                .collect::<Vec<_>>();
-            if args.is_empty() {
-                return Err(ParseBenchError::new(lineno, "gate has no fanins"));
-            }
-            let unary = matches!(kind, GateKind::Not | GateKind::Buf | GateKind::Dff);
-            if unary && args.len() != 1 {
-                return Err(ParseBenchError::new(
-                    lineno,
-                    format!("{kind_str} takes exactly one fanin, got {}", args.len()),
-                ));
-            }
-            if gates
-                .insert(
-                    name.clone(),
-                    GateDef {
-                        kind,
-                        fanins: args,
-                        line: lineno,
-                    },
-                )
-                .is_some()
-            {
-                return Err(ParseBenchError::new(
-                    lineno,
-                    format!("signal '{name}' defined more than once"),
-                ));
-            }
-            order.push(name);
-        } else {
+    }
+
+    fn fanins(&self, gate: &Gate) -> &[u32] {
+        &self.fanins[gate.fanins.0 as usize..gate.fanins.1 as usize]
+    }
+
+    /// Reads one non-empty, comment-stripped, trimmed line.
+    fn read_line(&mut self, line: &'a str, lineno: usize) -> Result<(), ParseBenchError> {
+        if let Some(rest) = directive(line, "INPUT") {
+            let id = self.intern(rest);
+            self.inputs.push((id, lineno));
+            return Ok(());
+        }
+        if let Some(rest) = directive(line, "OUTPUT") {
+            let id = self.intern(rest);
+            self.outputs.push((id, lineno));
+            return Ok(());
+        }
+        let Some(eq) = line.find('=') else {
             return Err(ParseBenchError::new(
                 lineno,
                 format!("unrecognized line '{line}'"),
             ));
-        }
-    }
-
-    let mut aig = Aig::new();
-    let mut signals: HashMap<String, Lit> = HashMap::new();
-
-    for (name, line) in &inputs {
-        if signals.contains_key(name) {
+        };
+        let name = line[..eq].trim();
+        if name.is_empty() {
             return Err(ParseBenchError::new(
-                *line,
-                format!("input '{name}' declared more than once"),
+                lineno,
+                "missing signal name before '='",
             ));
         }
-        let lit = aig.input();
-        signals.insert(name.clone(), lit);
+        let rhs = line[eq + 1..].trim();
+        let open = rhs.find('(').ok_or_else(|| {
+            ParseBenchError::new(lineno, format!("expected gate expression, found '{rhs}'"))
+        })?;
+        if !rhs.ends_with(')') {
+            return Err(ParseBenchError::new(lineno, "missing closing parenthesis"));
+        }
+        let kind_str = rhs[..open].trim();
+        let kind = GateKind::from_keyword(kind_str).ok_or_else(|| {
+            ParseBenchError::new(lineno, format!("unknown gate type '{kind_str}'"))
+        })?;
+        let start = self.fanins.len();
+        for arg in rhs[open + 1..rhs.len() - 1].split(',') {
+            let arg = arg.trim();
+            if !arg.is_empty() {
+                let id = self.intern(arg);
+                self.fanins.push(id);
+            }
+        }
+        let arity = self.fanins.len() - start;
+        if arity == 0 {
+            return Err(ParseBenchError::new(lineno, "gate has no fanins"));
+        }
+        if matches!(kind, GateKind::Not | GateKind::Buf | GateKind::Dff) && arity != 1 {
+            return Err(ParseBenchError::new(
+                lineno,
+                format!("{kind_str} takes exactly one fanin, got {arity}"),
+            ));
+        }
+        let id = self.intern(name);
+        let gate_of = &mut self.gate_of[id as usize];
+        if gate_of.is_some() {
+            return Err(ParseBenchError::new(
+                lineno,
+                format!("signal '{name}' defined more than once"),
+            ));
+        }
+        *gate_of = Some(self.gates.len() as u32);
+        self.gates.push(Gate {
+            kind,
+            name: id,
+            fanins: (start as u32, self.fanins.len() as u32),
+            line: lineno,
+        });
+        Ok(())
     }
 
-    // DFF outputs become fresh primary inputs (scan treatment).
-    let mut dff_next: Vec<(String, String)> = Vec::new();
-    for name in &order {
-        let def = &gates[name];
-        if def.kind == GateKind::Dff {
-            if signals.contains_key(name) {
+    /// Builds the AIG. Node numbering is part of the contract (every
+    /// pinned downstream count depends on it): inputs in `INPUT` order,
+    /// then DFF pseudo-inputs in file order, then the gates in file order,
+    /// each pulling in its undefined-so-far fanins depth-first.
+    fn build(&self) -> Result<Aig, ParseBenchError> {
+        let mut aig = Aig::new();
+        let mut signals: Vec<Option<Lit>> = vec![None; self.names.len()];
+
+        for &(id, line) in &self.inputs {
+            if signals[id as usize].is_some() {
                 return Err(ParseBenchError::new(
-                    def.line,
-                    format!("signal '{name}' defined more than once"),
+                    line,
+                    format!(
+                        "input '{}' declared more than once",
+                        self.names[id as usize]
+                    ),
                 ));
             }
-            let lit = aig.input();
-            signals.insert(name.clone(), lit);
-            dff_next.push((name.clone(), def.fanins[0].clone()));
+            signals[id as usize] = Some(aig.input());
         }
+
+        // DFF outputs become fresh primary inputs (scan treatment).
+        for gate in self.gates.iter().filter(|g| g.kind == GateKind::Dff) {
+            if signals[gate.name as usize].is_some() {
+                return Err(ParseBenchError::new(
+                    gate.line,
+                    format!(
+                        "signal '{}' defined more than once",
+                        self.names[gate.name as usize]
+                    ),
+                ));
+            }
+            signals[gate.name as usize] = Some(aig.input());
+        }
+
+        self.build_gates(&mut signals, &mut aig)?;
+
+        for &(id, line) in &self.outputs {
+            let name = self.names[id as usize];
+            let lit = signals[id as usize].ok_or_else(|| {
+                ParseBenchError::new(line, format!("output '{name}' is never defined"))
+            })?;
+            aig.set_output(name, lit);
+        }
+        for gate in self.gates.iter().filter(|g| g.kind == GateKind::Dff) {
+            let ff = self.names[gate.name as usize];
+            let d = self.fanins(gate)[0];
+            let lit = signals[d as usize].ok_or_else(|| {
+                ParseBenchError::new(
+                    gate.line,
+                    format!(
+                        "dff '{ff}' input '{}' is never defined",
+                        self.names[d as usize]
+                    ),
+                )
+            })?;
+            aig.set_output(format!("{ff}.next"), lit);
+        }
+        Ok(aig)
     }
 
-    // Resolve combinational gates with an explicit stack (no recursion so
-    // deep chains don't overflow), detecting cycles on the way.
-    for name in &order {
-        resolve(name, &gates, &mut signals, &mut aig)?;
+    /// Builds the gates in file order. Each first pulls in its
+    /// not-yet-built fanins depth-first, with an explicit stack (no
+    /// recursion, so deep chains don't overflow), detecting cycles on the
+    /// way.
+    fn build_gates(
+        &self,
+        signals: &mut [Option<Lit>],
+        aig: &mut Aig,
+    ) -> Result<(), ParseBenchError> {
+        // Set when a gate is first visited. A visited gate that is not yet
+        // built is on the current path, so meeting it again is a cycle;
+        // once built, its signal is set and the mark is never read again.
+        let mut on_path = vec![false; self.names.len()];
+        let mut stack = Vec::new();
+        let mut lits = Vec::new();
+        for root in &self.gates {
+            stack.push(Frame::Visit(root.name, root.line));
+            while let Some(frame) = stack.pop() {
+                match frame {
+                    Frame::Visit(id, referrer) => {
+                        if signals[id as usize].is_some() {
+                            continue;
+                        }
+                        let Some(g) = self.gate_of[id as usize] else {
+                            return Err(ParseBenchError::new(
+                                referrer,
+                                format!("signal '{}' is never defined", self.names[id as usize]),
+                            ));
+                        };
+                        let gate = &self.gates[g as usize];
+                        if std::mem::replace(&mut on_path[id as usize], true) {
+                            return Err(ParseBenchError::new(
+                                gate.line,
+                                format!(
+                                    "combinational cycle through signal '{}'",
+                                    self.names[id as usize]
+                                ),
+                            ));
+                        }
+                        stack.push(Frame::Build(g));
+                        for &fin in self.fanins(gate) {
+                            if signals[fin as usize].is_none() {
+                                stack.push(Frame::Visit(fin, gate.line));
+                            }
+                        }
+                    }
+                    Frame::Build(g) => {
+                        let gate = &self.gates[g as usize];
+                        lits.clear();
+                        for &fin in self.fanins(gate) {
+                            let lit = signals[fin as usize].ok_or_else(|| {
+                                ParseBenchError::new(
+                                    gate.line,
+                                    format!(
+                                        "signal '{}' is never defined",
+                                        self.names[fin as usize]
+                                    ),
+                                )
+                            })?;
+                            lits.push(lit);
+                        }
+                        let lit = match gate.kind {
+                            GateKind::And => aig.and_many(&lits),
+                            GateKind::Nand => !aig.and_many(&lits),
+                            GateKind::Or => aig.or_many(&lits),
+                            GateKind::Nor => !aig.or_many(&lits),
+                            GateKind::Xor => aig.xor_many(&lits),
+                            GateKind::Xnor => !aig.xor_many(&lits),
+                            GateKind::Not => !lits[0],
+                            GateKind::Buf => lits[0],
+                            // Bound to a pseudo-input before any gate is
+                            // built, so never reached; nothing to build.
+                            GateKind::Dff => continue,
+                        };
+                        signals[gate.name as usize] = Some(lit);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-
-    for (name, line) in &outputs {
-        let lit = *signals.get(name).ok_or_else(|| {
-            ParseBenchError::new(*line, format!("output '{name}' is never defined"))
-        })?;
-        aig.set_output(name.clone(), lit);
-    }
-    for (ff, d) in &dff_next {
-        let lit = *signals.get(d).ok_or_else(|| {
-            ParseBenchError::new(0, format!("dff '{ff}' input '{d}' is never defined"))
-        })?;
-        aig.set_output(format!("{ff}.next"), lit);
-    }
-
-    Ok(aig)
 }
 
-fn strip_directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let upper = line.to_ascii_uppercase();
-    if !upper.starts_with(keyword) {
+/// Strips a case-insensitive `KEYWORD( name )` directive down to `name`.
+fn directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
+    let head = line.as_bytes().get(..keyword.len())?;
+    if !head.eq_ignore_ascii_case(keyword.as_bytes()) {
         return None;
     }
     let rest = line[keyword.len()..].trim();
@@ -220,80 +351,44 @@ fn strip_directive<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
     Some(rest.trim())
 }
 
-fn resolve(
-    name: &str,
-    gates: &HashMap<String, GateDef>,
-    signals: &mut HashMap<String, Lit>,
-    aig: &mut Aig,
-) -> Result<Lit, ParseBenchError> {
-    if let Some(&lit) = signals.get(name) {
-        return Ok(lit);
-    }
-    // Iterative post-order over the definition DAG.
-    #[derive(Clone)]
-    enum Frame {
-        Visit(String),
-        Build(String),
-    }
-    let mut in_progress: HashMap<String, bool> = HashMap::new();
-    let mut stack = vec![Frame::Visit(name.to_string())];
-    while let Some(frame) = stack.pop() {
-        match frame {
-            Frame::Visit(n) => {
-                if signals.contains_key(&n) {
-                    continue;
-                }
-                let def = gates.get(&n).ok_or_else(|| {
-                    ParseBenchError::new(0, format!("signal '{n}' is never defined"))
-                })?;
-                if in_progress.insert(n.clone(), true).is_some() {
-                    return Err(ParseBenchError::new(
-                        def.line,
-                        format!("combinational cycle through signal '{n}'"),
-                    ));
-                }
-                stack.push(Frame::Build(n));
-                for fin in &def.fanins {
-                    if !signals.contains_key(fin) {
-                        stack.push(Frame::Visit(fin.clone()));
-                    }
-                }
-            }
-            Frame::Build(n) => {
-                let def = &gates[&n];
-                let mut fanins = Vec::with_capacity(def.fanins.len());
-                for fin in &def.fanins {
-                    let lit = *signals.get(fin).ok_or_else(|| {
-                        ParseBenchError::new(def.line, format!("signal '{fin}' is never defined"))
-                    })?;
-                    fanins.push(lit);
-                }
-                let lit = match def.kind {
-                    GateKind::And => aig.and_many(&fanins),
-                    GateKind::Nand => {
-                        let a = aig.and_many(&fanins);
-                        !a
-                    }
-                    GateKind::Or => aig.or_many(&fanins),
-                    GateKind::Nor => {
-                        let o = aig.or_many(&fanins);
-                        !o
-                    }
-                    GateKind::Xor => aig.xor_many(&fanins),
-                    GateKind::Xnor => {
-                        let x = aig.xor_many(&fanins);
-                        !x
-                    }
-                    GateKind::Not => !fanins[0],
-                    GateKind::Buf => fanins[0],
-                    // Handled up front; nothing to build here.
-                    GateKind::Dff => signals[&n],
-                };
-                signals.insert(n, lit);
-            }
+/// A step of the depth-first gate build: visit a name (referenced from
+/// the given line), or build a gate whose fanins are all resolved.
+#[derive(Clone, Copy)]
+enum Frame {
+    Visit(u32, usize),
+    Build(u32),
+}
+
+/// Parses a `.bench` netlist into an [`Aig`].
+///
+/// Every name is interned once into a dense id, gate fanins live in one
+/// shared id array, and no per-line string is allocated. Nodes are
+/// numbered inputs first (in `INPUT` order), then DFF pseudo-inputs (in
+/// file order), then gates in file order, each gate first building its
+/// not-yet-defined fanins depth-first.
+///
+/// # Errors
+///
+/// Returns [`ParseBenchError`] on syntax errors, unknown gate types, wrong
+/// arities, undefined signals, duplicate definitions, or combinational
+/// cycles. The error's line is the offending line: for an undefined
+/// signal, the gate or DFF line that references it.
+pub fn parse(source: &str) -> Result<Aig, ParseBenchError> {
+    // A gate line ("g12 = AND(i3, g7)") averages about 20 bytes and
+    // defines one name. Sizing from the byte count, not the line count,
+    // keeps a hostile run of blank lines from reserving memory.
+    let mut netlist = Netlist::with_capacity(source.len() / 20);
+    for (lineno, raw) in source.lines().enumerate() {
+        let line = match raw.find('#') {
+            Some(pos) => &raw[..pos],
+            None => raw,
+        }
+        .trim();
+        if !line.is_empty() {
+            netlist.read_line(line, lineno + 1)?;
         }
     }
-    Ok(signals[name])
+    netlist.build()
 }
 
 /// Serializes an [`Aig`] to `.bench` text.
@@ -466,9 +561,79 @@ y = BUF(q)
     }
 
     #[test]
+    fn golden_node_tables() {
+        // Pinned from the previous reader: node numbering feeds every
+        // downstream work count, so the tables must not move. Covers
+        // forward references, multi-input XOR/OR/NAND, a DFF, mixed-case
+        // keywords, comments and CRLF line endings.
+        let src = "# golden netlist: forward references, mixed case, CRLF\r\n\
+INPUT(a)\r\n\
+input(b)\r\n\
+Input(c)  # trailing comment\r\n\
+INPUT(d)\r\n\
+OUTPUT(y)\r\n\
+output(z)\r\n\
+\r\n\
+y = nand(t, u, c)\r\n\
+t = XOR(a, b, q, d)\r\n\
+q = dff(n)\r\n\
+# a comment line\r\n\
+u = Or(a, c, d)\r\n\
+n = NOT(y)\r\n\
+z = xnor(t, m)\r\n\
+m = NOR(b, c)   # two-input nor\r\n\
+w = BUFF(u)\r\n\
+OUTPUT(w)\r\n";
+        let aig = parse(src).expect("parse");
+        let and = |a, b| crate::Node::And(Lit::from_code(a), Lit::from_code(b));
+        let mut nodes = vec![crate::Node::False];
+        nodes.extend([crate::Node::Input; 5]);
+        nodes.extend([
+            and(7, 9),
+            and(3, 12),
+            and(2, 5),
+            and(3, 4),
+            and(17, 19),
+            and(9, 10),
+            and(8, 11),
+            and(23, 25),
+            and(21, 26),
+            and(20, 27),
+            and(29, 31),
+            and(6, 15),
+            and(33, 34),
+            and(5, 7),
+            and(33, 39),
+            and(32, 38),
+            and(41, 43),
+        ]);
+        assert_eq!(aig.nodes(), &nodes[..]);
+        let inputs: Vec<usize> = aig.inputs().iter().map(|i| i.index()).collect();
+        assert_eq!(inputs, [1, 2, 3, 4, 5]);
+        let outputs: Vec<(&str, usize)> = aig
+            .outputs()
+            .iter()
+            .map(|(name, lit)| (name.as_str(), lit.code()))
+            .collect();
+        assert_eq!(outputs, [("y", 37), ("z", 44), ("w", 15), ("q.next", 36)]);
+    }
+
+    #[test]
     fn rejects_undefined_signal() {
         let err = parse("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n").unwrap_err();
         assert!(err.message.contains("never defined"));
+        assert_eq!(err.line, 3);
+        // Reached through a forward reference: the line is still the
+        // referencing gate's, not the root's.
+        let err = parse("INPUT(a)\nOUTPUT(y)\ny = AND(a, t)\nt = OR(a, ghost)\n").unwrap_err();
+        assert_eq!((err.line, err.message.contains("'ghost'")), (4, true));
+    }
+
+    #[test]
+    fn rejects_undefined_dff_input_at_its_line() {
+        let err = parse("INPUT(a)\nOUTPUT(y)\ny = BUF(q)\nq = DFF(ghost)\n").unwrap_err();
+        assert_eq!(err.line, 4);
+        assert_eq!(err.message, "dff 'q' input 'ghost' is never defined");
     }
 
     #[test]

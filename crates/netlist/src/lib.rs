@@ -11,6 +11,8 @@
 //! * [`mod@bench`] — reader/writer for the ISCAS `.bench` circuit format the
 //!   paper takes as input.
 //! * [`cnf`] — CNF formula type plus DIMACS reader/writer.
+//! * [`load`] — the one instance loader every front door uses (extension
+//!   → format → parse → objective).
 //! * [`tseitin`] — circuit → CNF translation (for the CNF baseline solver).
 //! * [`two_level`] — CNF → 2-level OR-AND circuit translation (the paper's
 //!   treatment of CNF-formatted inputs).
@@ -46,6 +48,7 @@ pub mod cnf;
 pub mod cone;
 mod error;
 pub mod generators;
+pub mod load;
 pub mod miter;
 pub mod optimize;
 pub mod stats;

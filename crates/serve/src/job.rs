@@ -24,7 +24,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csat_core::{Solver, SolverOptions};
-use csat_netlist::{aiger, bench, cnf::Cnf, two_level, Aig, Lit};
+use csat_netlist::load::{Circuit, Format};
+use csat_netlist::{Aig, Lit};
 use csat_par::{
     run_cubes, solve_aig_portfolio, CircuitCubeSolver, CubeOptions, ParMode, PortfolioOptions,
 };
@@ -56,62 +57,28 @@ pub struct LoadedInstance {
 /// client-safe strings (they become `reject` frames with
 /// `reason: "invalid"`).
 pub fn load_instance(req: &SolveRequest) -> Result<LoadedInstance, String> {
+    let text_read;
     let (text, format) = match &req.source {
         JobSource::Path(path) => {
-            let text =
+            text_read =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-            let lower = path.to_lowercase();
-            let format = if lower.ends_with(".bench") {
-                "bench"
-            } else if lower.ends_with(".aag") || lower.ends_with(".aig") {
-                "aiger"
-            } else if lower.ends_with(".cnf") || lower.ends_with(".dimacs") {
-                "dimacs"
-            } else {
-                return Err(format!(
-                    "'{path}': unrecognized extension (use .bench, .aag or .cnf)"
-                ));
-            };
-            (text, format)
+            let format = Format::from_path(path).ok_or_else(|| {
+                format!("'{path}': unrecognized extension (use .bench, .aag or .cnf)")
+            })?;
+            (text_read.as_str(), format)
         }
-        JobSource::Inline { format, text } => (text.clone(), format.as_str()),
+        JobSource::Inline { format, text } => (text.as_str(), *format),
     };
-    let fp = fingerprint(text.as_bytes());
-    let (aig, default_objective) = match format {
-        "bench" => {
-            let aig = bench::parse(&text).map_err(|e| format!("bench parse: {e}"))?;
-            let obj = first_output(&aig)?;
-            (aig, obj)
-        }
-        "aiger" => {
-            let aig = aiger::parse(&text).map_err(|e| format!("aiger parse: {e}"))?;
-            let obj = first_output(&aig)?;
-            (aig, obj)
-        }
-        _ => {
-            let cnf = Cnf::from_dimacs(&text).map_err(|e| format!("dimacs parse: {e}"))?;
-            let tl = two_level::from_cnf(&cnf);
-            (tl.aig, tl.objective)
-        }
-    };
-    let objective = match &req.output {
-        Some(name) => aig
-            .output(name)
-            .ok_or_else(|| format!("no output named '{name}'"))?,
-        None => default_objective,
-    };
+    let circuit =
+        Circuit::parse(text, format).map_err(|e| format!("{} parse: {e}", format.name()))?;
+    let objective = circuit
+        .objective(req.output.as_deref(), req.negate)
+        .map_err(|e| e.to_string())?;
     Ok(LoadedInstance {
-        aig,
-        objective: objective.xor_complement(req.negate),
-        fingerprint: fp,
+        aig: circuit.aig,
+        objective,
+        fingerprint: fingerprint(text.as_bytes()),
     })
-}
-
-fn first_output(aig: &Aig) -> Result<Lit, String> {
-    aig.outputs()
-        .first()
-        .map(|&(_, l)| l)
-        .ok_or_else(|| "circuit has no outputs".to_string())
 }
 
 /// Observer wrapped around every solver call a job makes: aggregates
@@ -408,7 +375,7 @@ mod tests {
         SolveRequest {
             id: id.to_string(),
             source: JobSource::Inline {
-                format: "bench".to_string(),
+                format: Format::Bench,
                 text: text.to_string(),
             },
             output: None,

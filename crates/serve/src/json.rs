@@ -94,6 +94,7 @@ impl fmt::Display for ParseError {
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -107,6 +108,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -273,19 +275,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid; find the next char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let len = match rest[0] {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let s = std::str::from_utf8(&rest[..len.min(rest.len())])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte at once. Those stop bytes are ASCII, so
+                    // both ends of the run are char boundaries of `text`.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -349,6 +346,21 @@ mod tests {
             ]))
         );
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x\n\"Aé"));
+    }
+
+    #[test]
+    fn unescaped_runs_copy_whole_around_escapes() {
+        // Escapes at the start, middle and end of a string, around runs
+        // holding 2-, 3- and 4-byte UTF-8 scalars.
+        let v = parse(r#""\tnaïve \u00e9 ✓ 😀\n""#).unwrap();
+        assert_eq!(v, Json::Str("\tnaïve é ✓ 😀\n".to_string()));
+        let v = parse(r#""\"é\\✓😀\/""#).unwrap();
+        assert_eq!(v, Json::Str("\"é\\✓😀/".to_string()));
+        let v = parse(r#""😀x\u0041é""#).unwrap();
+        assert_eq!(v, Json::Str("😀xAé".to_string()));
+        assert_eq!(parse(r#""""#).unwrap(), Json::Str(String::new()));
+        // A control byte inside a run is still rejected.
+        assert!(parse("\"é\u{1}x\"").is_err());
     }
 
     #[test]

@@ -996,7 +996,13 @@ mod tests {
         server.handle_line(&solve_frame("early"), &tx);
         server.request_drain();
         server.handle_line(&solve_frame("late"), &tx);
-        let lines = drain_lines(&rx, 1, Duration::from_secs(10));
+        let mut lines = drain_lines(&rx, 1, Duration::from_secs(10));
+        // The `late` reject was sent synchronously above, but the early
+        // result can overtake it in the channel: collect what is queued.
+        lines.extend(rx.try_iter().filter_map(|msg| match msg {
+            OutMsg::Line(line) => Some(line),
+            OutMsg::Sync(_) => None,
+        }));
         assert!(
             lines
                 .iter()

@@ -126,6 +126,15 @@ run_serve() {
     cargo run --release --bin csat-fuzz -- \
         --seed 0 --iters 300 --matrix serve
 }
+run_bench_smoke() {
+    # Benchmark smoke: every perfbench workload drives its shipped front
+    # door (csat, cec, csat-serve) for a few seconds, traced, with each
+    # verdict checked against the truth known from construction and each
+    # SAT model against the generated netlist. A reader or solver change
+    # that builds a different circuit or answers wrongly exits non-zero.
+    CARGO_TARGET_DIR=target/perfbench-smoke \
+        python3 perfbench/run.py --workload all --seed 1 --seconds 3 --trace 1
+}
 run_resilience() {
     # Fault injection: force every interrupt reason (panic, memory
     # exhaustion, cancellation, expired clock, conflict/decision budgets)
@@ -196,6 +205,7 @@ case "${1:-all}" in
     perf-smoke) run_perf_smoke ;;
     serve) run_serve ;;
     resilience) run_resilience ;;
+    bench-smoke) run_bench_smoke ;;
     all)
         run_step fmt run_fmt
         run_step clippy run_clippy
@@ -211,10 +221,11 @@ case "${1:-all}" in
         run_step perf-smoke run_perf_smoke
         run_step serve run_serve
         run_step resilience run_resilience
+        run_step bench-smoke run_bench_smoke
         print_summary
         ;;
     *)
-        echo "usage: scripts/ci.sh [fmt|clippy|build|test|doc|fuzz-smoke|kernel-parity|incremental|prep|parallel-determinism|features|perf-smoke|serve|resilience|all]" >&2
+        echo "usage: scripts/ci.sh [fmt|clippy|build|test|doc|fuzz-smoke|kernel-parity|incremental|prep|parallel-determinism|features|perf-smoke|serve|resilience|bench-smoke|all]" >&2
         exit 2
         ;;
 esac

@@ -53,7 +53,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use csat::core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions, Verdict};
-use csat::netlist::{aiger, bench, miter, Aig, Lit};
+use csat::netlist::load::{Circuit, Format};
+use csat::netlist::{miter, Aig, Lit};
 use csat::par::{
     run_cubes, solve_aig_portfolio, CircuitCubeSolver, CubeOptions, ParMode, PortfolioOptions,
 };
@@ -199,15 +200,13 @@ fn parse_args() -> Options {
     options
 }
 
+/// Reads a `.bench` or AIGER circuit; `cec` compares circuits, so DIMACS
+/// input is rejected.
 fn load(path: &str) -> Result<Aig, Box<dyn Error>> {
     let text = std::fs::read_to_string(path)?;
-    let lower = path.to_lowercase();
-    if lower.ends_with(".bench") {
-        Ok(bench::parse(&text)?)
-    } else if lower.ends_with(".aag") || lower.ends_with(".aig") {
-        Ok(aiger::parse(&text)?)
-    } else {
-        Err("unrecognized file extension (use .bench or .aag)".into())
+    match Format::from_path(path) {
+        Some(format @ (Format::Bench | Format::Aiger)) => Ok(Circuit::parse(&text, format)?.aig),
+        _ => Err("unrecognized file extension (use .bench or .aag)".into()),
     }
 }
 

@@ -51,12 +51,12 @@
 //! `s UNKNOWN` (reason `cancelled`) with partial statistics and a clean
 //! exit; the second kills the process with status 130.
 
-use std::error::Error;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use csat::core::{explicit, Budget, ExplicitOptions, Solver, SolverOptions, Verdict};
-use csat::netlist::{aiger, bench, cnf::Cnf, two_level, Aig, Lit};
+use csat::netlist::load::{Circuit, LoadError};
+use csat::netlist::{Aig, Lit};
 use csat::par::{
     run_cubes, solve_aig_portfolio, solve_cnf_cubes, solve_cnf_portfolio, CircuitCubeSolver,
     CubeOptions, ParMode, ParOutcome, PortfolioOptions,
@@ -224,38 +224,10 @@ fn parse_args() -> Options {
     options
 }
 
-fn load(options: &Options) -> Result<(Aig, Lit), Box<dyn Error>> {
-    let text = std::fs::read_to_string(&options.file)?;
-    let lower = options.file.to_lowercase();
-    let (aig, default_objective) = if lower.ends_with(".bench") {
-        let aig = bench::parse(&text)?;
-        let obj = first_output(&aig)?;
-        (aig, obj)
-    } else if lower.ends_with(".aag") || lower.ends_with(".aig") {
-        let aig = aiger::parse(&text)?;
-        let obj = first_output(&aig)?;
-        (aig, obj)
-    } else if lower.ends_with(".cnf") || lower.ends_with(".dimacs") {
-        let cnf = Cnf::from_dimacs(&text)?;
-        let tl = two_level::from_cnf(&cnf);
-        (tl.aig, tl.objective)
-    } else {
-        return Err("unrecognized file extension (use .bench, .aag or .cnf)".into());
-    };
-    let objective = match &options.output {
-        Some(name) => aig
-            .output(name)
-            .ok_or_else(|| format!("no output named '{name}'"))?,
-        None => default_objective,
-    };
-    Ok((aig, objective.xor_complement(options.negate)))
-}
-
-fn first_output(aig: &Aig) -> Result<Lit, Box<dyn Error>> {
-    aig.outputs()
-        .first()
-        .map(|&(_, l)| l)
-        .ok_or_else(|| "circuit has no outputs".into())
+fn load(options: &Options) -> Result<(Aig, Lit), LoadError> {
+    let circuit = Circuit::read(&options.file)?;
+    let objective = circuit.objective(options.output.as_deref(), options.negate)?;
+    Ok((circuit.aig, objective))
 }
 
 fn main() -> ExitCode {

@@ -26,6 +26,72 @@ proptest! {
         }
     }
 
+    /// Gate lines may come in any order: shuffling the gate lines of a
+    /// written circuit still parses (forward references resolve) to a
+    /// functionally equivalent circuit with the same interface.
+    #[test]
+    fn bench_shuffled_gate_lines_parse_equivalently(seed in 0u64..10_000, shuffle in any::<u64>()) {
+        let original = generators::random_logic(seed, 6, 30, 3);
+        let text = bench::write(&original);
+        let (mut gates, header): (Vec<&str>, Vec<&str>) = text.lines().partition(|l| l.contains('='));
+        let mut state = shuffle;
+        for i in (1..gates.len()).rev() {
+            gates.swap(i, (splitmix64(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let shuffled = header.into_iter().chain(gates).collect::<Vec<_>>().join("\n");
+        let back = bench::parse(&shuffled).expect("shuffled reparse");
+        prop_assert_eq!(back.inputs().len(), original.inputs().len());
+        let names = |aig: &csat::netlist::Aig| -> Vec<String> {
+            aig.outputs().iter().map(|(n, _)| n.clone()).collect()
+        };
+        prop_assert_eq!(names(&back), names(&original));
+        for code in 0..64u32 {
+            let bits: Vec<bool> = (0..6).map(|i| code >> i & 1 != 0).collect();
+            prop_assert_eq!(
+                original.evaluate_outputs(&bits),
+                back.evaluate_outputs(&bits)
+            );
+        }
+    }
+
+    /// The daemon parses client text: byte-mutated or truncated `.bench`
+    /// text never panics the reader, and every error names a line that
+    /// exists in the text.
+    #[test]
+    fn bench_mutated_text_never_panics(
+        seed in 0u64..10_000,
+        edits in prop::collection::vec((any::<u64>(), any::<u8>()), 0..8),
+        cut in any::<u64>(),
+    ) {
+        const PALETTE: &[u8] = b"()=,# \r\n\tIiNnPpUuTtOoDdFfAaRrXxBb0_\x0b\xc3\xa9";
+        let original = generators::random_logic(seed, 5, 20, 2);
+        let mut bytes = bench::write(&original).into_bytes();
+        for (at, byte) in edits {
+            let at = (at % (bytes.len() as u64 + 1)) as usize;
+            let byte = if byte & 1 == 0 { PALETTE[byte as usize % PALETTE.len()] } else { byte };
+            match (byte >> 1) % 3 {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, byte),
+            }
+        }
+        if cut & 1 == 1 {
+            bytes.truncate((cut >> 1) as usize % (bytes.len() + 1));
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = bench::parse(&text) {
+            prop_assert!(
+                (1..=text.lines().count()).contains(&e.line),
+                "line {} outside 1..={}: {}",
+                e.line,
+                text.lines().count(),
+                e
+            );
+        }
+    }
+
     /// AIGER write → parse preserves function and gate count.
     #[test]
     fn aiger_roundtrip_preserves_function(seed in 0u64..10_000) {
@@ -109,4 +175,12 @@ proptest! {
             );
         }
     }
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
