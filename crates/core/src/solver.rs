@@ -17,7 +17,7 @@
 //! watched literals, mirroring the implementation note in Section IV-A.
 //!
 //! The circuit-specific search state is split in two: [`CircuitState`]
-//! owns the J-node counters, fanout CSR and implicit-learning tables,
+//! owns the J-frontier queue, fanout CSR and implicit-learning tables,
 //! while [`CircuitPropagator`] is the short-lived view pairing that state
 //! with a borrow of the circuit for the duration of one engine call. The
 //! borrow-only view is what lets [`Solver`] reference a caller-owned
@@ -30,13 +30,13 @@ use std::collections::BinaryHeap;
 use csat_netlist::topo::FanoutCsr;
 use csat_netlist::{Aig, Lit, Node, NodeId};
 use csat_search::{
-    ingest_clause, prefetch_read, solve_under, ActivityHeap, Conflict, Propagator, Reason,
-    SearchContext, SearchResult,
+    ingest_clause, prefetch_read, solve_under, Conflict, Propagator, Reason, SearchContext,
+    SearchResult,
 };
 use csat_sim::{CorrelationResult, Relation};
 use csat_telemetry::{NoOpObserver, Observer};
 
-use crate::implication::{self, is_unjustified, FALSE, TRUE, UNDEF};
+use crate::implication::{self, FALSE, TRUE, UNDEF};
 use crate::options::{Budget, SolverOptions, Stats, SubVerdict, Verdict};
 
 /// Error from [`Solver::add_learned_clause`]: a literal refers to a node
@@ -66,10 +66,10 @@ impl PartialOrd for ClauseCandidate {
     }
 }
 
-/// The owned half of the circuit backend: AND-gate fanout CSR, J-node
-/// tracking and the implicit-learning queues. Holds no reference to the
-/// circuit itself, so a [`crate::Session`] can own both a growing [`Aig`]
-/// and this state side by side.
+/// The owned half of the circuit backend: AND-gate fanout CSR, the
+/// J-frontier queue and the implicit-learning queues. Holds no reference
+/// to the circuit itself, so a [`crate::Session`] can own both a growing
+/// [`Aig`] and this state side by side.
 #[derive(Clone, Debug)]
 pub(crate) struct CircuitState {
     jnode_decisions: bool,
@@ -77,15 +77,13 @@ pub(crate) struct CircuitState {
     /// AND gates fed by each node, in flat CSR form (the BCP hot loop
     /// streams through this; see `csat_netlist::topo::FanoutCsr`).
     fanouts: FanoutCsr,
-    /// Exact J-node tracking: whether each AND gate is currently
-    /// unjustified (output 0, not yet justified by a 0-fanin).
-    jnode_flag: Vec<bool>,
-    /// How many unjustified gates each node currently feeds.
-    cand_count: Vec<u32>,
-    /// Total number of unjustified gates (zero = everything justified).
-    unjustified_total: u64,
-    /// VSIDS heap over J-node input candidates (C-SAT-Jnode mode).
-    jheap: ActivityHeap,
+    /// The J-frontier (C-SAT-Jnode mode): AND gates whose output was
+    /// assigned 0, in trail order. A gate is pushed when propagation
+    /// processes its output's 0 literal, so every entry's output is 0 and
+    /// backtracking pops exactly a suffix. A superset of the unjustified
+    /// gates: the decision scan skips justified entries and drops those
+    /// justified for as long as they stay queued.
+    jqueue: Vec<u32>,
     /// Free literals of unsatisfied learned clauses, as lazy candidates.
     clause_cands: BinaryHeap<ClauseCandidate>,
     clause_queued: Vec<bool>,
@@ -109,10 +107,7 @@ impl CircuitState {
             jnode_decisions: options.jnode_decisions,
             implicit_learning: options.implicit_learning,
             fanouts: FanoutCsr::build(aig),
-            jnode_flag: vec![false; n],
-            cand_count: vec![0; n],
-            unjustified_total: 0,
-            jheap: ActivityHeap::with_capacity(n),
+            jqueue: Vec::new(),
             clause_cands: BinaryHeap::new(),
             clause_queued: Vec::new(),
             partner: vec![None; n],
@@ -122,24 +117,24 @@ impl CircuitState {
     }
 
     /// Grows every per-node table to `n` nodes. New nodes start with no
-    /// J-node involvement and no correlations. The fanout CSR is *not*
-    /// extended here — that is deferred to [`CircuitState::extend_fanouts`]
-    /// so a burst of `Session` additions pays for one rebuild, not many.
+    /// correlations. The fanout CSR is *not* extended here — that is
+    /// deferred to [`CircuitState::extend_fanouts`] so a burst of
+    /// `Session` additions pays for one rebuild, not many.
     pub(crate) fn grow_to(&mut self, n: usize) {
-        if n <= self.jnode_flag.len() {
+        if n <= self.partner.len() {
             return;
         }
-        self.jnode_flag.resize(n, false);
-        self.cand_count.resize(n, 0);
         self.partner.resize(n, None);
         self.const_rel.resize(n, None);
-        self.jheap.grow_to(n);
     }
 
     /// Extends the fanout CSR with the gates of `aig` from node index
-    /// `first_new` on (see [`FanoutCsr::extend`]).
+    /// `first_new` on (see [`FanoutCsr::extend`]), and empties the
+    /// J-frontier: the caller rewinds propagation to replay the root
+    /// trail through the new gates, which queues its 0-output gates again.
     pub(crate) fn extend_fanouts(&mut self, aig: &Aig, first_new: usize) {
         self.fanouts.extend(aig, first_new);
+        self.jqueue.clear();
     }
 
     /// Installs pair correlations as decision-grouping partners and
@@ -207,23 +202,8 @@ impl CircuitPropagator<'_> {
             Node::And(a, b) => (a, b),
             _ => return Ok(()),
         };
-        let vo = ctx.value(g.index());
-        let va = ctx.lit_value(a);
-        let vb = ctx.lit_value(b);
-        let acts = implication::lookup(vo, va, vb);
-        // Quiescent gate — the dominant case while streaming a fanout
-        // list: nothing to imply, just keep the J-node status fresh. The
-        // pin values are already in registers, so skip the re-reads a
-        // full refresh would do.
-        if acts.is_empty() {
-            if self.state.jnode_decisions {
-                let now = is_unjustified(vo, va, vb);
-                self.refresh_gate_to(ctx, g, a, b, now);
-            }
-            return Ok(());
-        }
+        let acts = implication::lookup(ctx.value(g.index()), ctx.lit_value(a), ctx.lit_value(b));
         use crate::implication::Action;
-        let mut result = Ok(());
         for action in acts.iter() {
             let lit = match action {
                 Action::OutputFalse => !g.lit(),
@@ -233,49 +213,9 @@ impl CircuitPropagator<'_> {
                 Action::BFalse => !b,
                 Action::BTrue => b,
             };
-            if let Err(c) = ctx.enqueue(lit, Reason::External(g.index() as u32)) {
-                result = Err(c);
-                break;
-            }
+            ctx.enqueue(lit, Reason::External(g.index() as u32))?;
         }
-        self.refresh_gate(ctx, g, a, b);
-        result
-    }
-
-    /// Recomputes the J-node status of one gate and maintains the
-    /// candidate counters and heap. Called whenever one of the gate's pins
-    /// changes value.
-    fn refresh_gate(&mut self, ctx: &SearchContext<Lit>, g: NodeId, a: Lit, b: Lit) {
-        if !self.state.jnode_decisions {
-            return;
-        }
-        let now = is_unjustified(ctx.value(g.index()), ctx.lit_value(a), ctx.lit_value(b));
-        self.refresh_gate_to(ctx, g, a, b, now);
-    }
-
-    /// [`Self::refresh_gate`] with the J-node status already computed from
-    /// pin values the caller holds.
-    #[inline]
-    fn refresh_gate_to(&mut self, ctx: &SearchContext<Lit>, g: NodeId, a: Lit, b: Lit, now: bool) {
-        if now == self.state.jnode_flag[g.index()] {
-            return;
-        }
-        self.state.jnode_flag[g.index()] = now;
-        if now {
-            self.state.unjustified_total += 1;
-            for lit in [a, b] {
-                let n = lit.node().index();
-                self.state.cand_count[n] += 1;
-                if ctx.value(n) == UNDEF {
-                    self.state.jheap.insert(n as u32, ctx.activity());
-                }
-            }
-        } else {
-            self.state.unjustified_total -= 1;
-            for lit in [a, b] {
-                self.state.cand_count[lit.node().index()] -= 1;
-            }
-        }
+        Ok(())
     }
 
     /// Premise literals (negated, i.e. false) of a gate implication.
@@ -348,90 +288,84 @@ impl CircuitPropagator<'_> {
     }
 
     /// VSIDS among J-node inputs and learned-gate literals.
-    fn pick_jnode_decision(&mut self, ctx: &mut SearchContext<Lit>) -> Option<Lit> {
-        loop {
-            // Highest-activity valid node candidate (a fanin of some
-            // unjustified gate).
-            let node = loop {
-                match self.state.jheap.pop(ctx.activity()) {
-                    None => break None,
-                    Some(v) => {
-                        if ctx.value(v as usize) == UNDEF && self.state.cand_count[v as usize] > 0 {
-                            break Some(v);
-                        }
-                    }
-                }
+    fn pick_jnode_decision(&mut self, ctx: &SearchContext<Lit>) -> Option<Lit> {
+        // Highest-activity unassigned fanin edge of an unjustified gate.
+        let edge = self.scan_frontier(ctx);
+        let node_priority = edge.map_or(0, |fl| self.lit_priority(ctx, fl));
+        // Learned-gate candidates compete under the same VSIDS order.
+        while let Some(&top) = self.state.clause_cands.peek() {
+            if edge.is_some() && top.priority <= node_priority {
+                break;
+            }
+            self.state.clause_cands.pop();
+            let ClauseCandidate { lit, cref, .. } = top;
+            self.state.clause_queued[cref as usize] = false;
+            if ctx.clause_is_deleted(cref) {
+                continue;
+            }
+            let lits = ctx.clause_lits(cref);
+            let (w0, w1) = (lits[0], lits[1]);
+            if ctx.lit_value(w0) == TRUE || ctx.lit_value(w1) == TRUE {
+                continue; // satisfied (at least through its watches)
+            }
+            let free = if ctx.lit_value(lit) == UNDEF {
+                lit
+            } else if ctx.lit_value(w0) == UNDEF {
+                w0
+            } else if ctx.lit_value(w1) == UNDEF {
+                w1
+            } else {
+                continue;
             };
-            let node_priority = node
-                .map(|v| ctx.activity()[v as usize].to_bits())
-                .unwrap_or(0);
-            // Learned-gate candidates compete under the same VSIDS order.
-            while let Some(&top) = self.state.clause_cands.peek() {
-                if node.is_some() && top.priority <= node_priority {
-                    break;
-                }
-                self.state.clause_cands.pop();
-                let ClauseCandidate { lit, cref, .. } = top;
-                self.state.clause_queued[cref as usize] = false;
-                if ctx.clause_is_deleted(cref) {
-                    continue;
-                }
-                let lits = ctx.clause_lits(cref);
-                let (w0, w1) = (lits[0], lits[1]);
-                if ctx.lit_value(w0) == TRUE || ctx.lit_value(w1) == TRUE {
-                    continue; // satisfied (at least through its watches)
-                }
-                let free = if ctx.lit_value(lit) == UNDEF {
-                    lit
-                } else if ctx.lit_value(w0) == UNDEF {
-                    w0
-                } else if ctx.lit_value(w1) == UNDEF {
-                    w1
-                } else {
-                    continue;
-                };
-                // Satisfy the learned gate; put the node candidate back.
-                if let Some(v) = node {
-                    self.state.jheap.insert(v, ctx.activity());
-                }
-                return Some(self.apply_value_heuristic(free));
-            }
-            if let Some(v) = node {
-                // Justify one of the unjustified gates this node feeds:
-                // set the fanin edge to 0 (ATPG justification), unless a
-                // constant correlation overrides the value.
-                let n = NodeId::from_index(v as usize);
-                let mut chosen: Option<Lit> = None;
-                for &g in self.state.fanouts.of(n.index()) {
-                    if self.state.jnode_flag[g.index()] {
-                        if let Node::And(a, b) = self.aig.node(g) {
-                            let fl = if a.node() == n { a } else { b };
-                            chosen = Some(fl);
-                            break;
-                        }
-                    }
-                }
-                match chosen {
-                    Some(fl) => return Some(self.apply_value_heuristic(!fl)),
-                    // Stale candidacy; keep looking.
-                    None => continue,
-                }
-            }
-            // No candidates at all: SAT if the counters agree; otherwise
-            // repopulate from a full scan (safety net).
-            if self.state.unjustified_total == 0 {
-                return None;
-            }
-            match self.scan_for_unjustified(ctx) {
-                Some(g) => {
-                    if let Node::And(a, b) = self.aig.node(g) {
-                        let fl = if ctx.lit_value(a) == UNDEF { a } else { b };
-                        return Some(self.apply_value_heuristic(!fl));
-                    }
-                }
-                None => return None,
-            }
+            return Some(self.apply_value_heuristic(free));
         }
+        // Justify the gate: set the fanin edge to 0 (ATPG justification),
+        // unless a constant correlation overrides the value. No edge and
+        // no learned-gate candidate means every gate is justified: SAT.
+        edge.map(|fl| self.apply_value_heuristic(!fl))
+    }
+
+    /// One pass over the J-frontier queue at a decision (BCP is at a
+    /// fixpoint, so an unjustified gate has both fanins unassigned).
+    /// Returns the unassigned fanin edge of an unjustified gate with the
+    /// highest VSIDS activity; ties go to the latest-queued gate and,
+    /// within a gate, to fanin `b`.
+    ///
+    /// The same pass compacts the queue: a gate with a 0-fanin assigned at
+    /// or below its output's level stays justified until a backtrack
+    /// unassigns that fanin — which unassigns the output too and pops the
+    /// gate anyway — so it is dropped. Gates justified only from a higher
+    /// level are kept, since a backjump can un-justify them.
+    fn scan_frontier(&mut self, ctx: &SearchContext<Lit>) -> Option<Lit> {
+        let activity = ctx.activity();
+        let mut best: Option<(f64, Lit)> = None;
+        let queue = &mut self.state.jqueue;
+        let mut kept = 0;
+        for i in 0..queue.len() {
+            let g = queue[i];
+            let Node::And(a, b) = self.aig.node(NodeId::from_index(g as usize)) else {
+                unreachable!("J-frontier entry is not an AND gate")
+            };
+            let (va, vb) = (ctx.lit_value(a), ctx.lit_value(b));
+            if va == FALSE || vb == FALSE {
+                let level = ctx.level(g as usize);
+                let settled = |l: Lit, v: u8| v == FALSE && ctx.level(l.node().index()) <= level;
+                if settled(a, va) || settled(b, vb) {
+                    continue;
+                }
+            } else {
+                for (fl, v) in [(a, va), (b, vb)] {
+                    let act = activity[fl.node().index()];
+                    if v == UNDEF && best.is_none_or(|(top, _)| act >= top) {
+                        best = Some((act, fl));
+                    }
+                }
+            }
+            queue[kept] = g;
+            kept += 1;
+        }
+        queue.truncate(kept);
+        best.map(|(_, fl)| fl)
     }
 
     /// Algorithm IV.1's constant-correlation value override: a signal
@@ -449,20 +383,6 @@ impl CircuitPropagator<'_> {
             None => lit,
         }
     }
-
-    fn scan_for_unjustified(&self, ctx: &SearchContext<Lit>) -> Option<NodeId> {
-        for (i, node) in self.aig.nodes().iter().enumerate() {
-            if let Node::And(a, b) = node {
-                let vo = ctx.value(i);
-                let va = ctx.lit_value(*a);
-                let vb = ctx.lit_value(*b);
-                if is_unjustified(vo, va, vb) {
-                    return Some(NodeId::from_index(i));
-                }
-            }
-        }
-        None
-    }
 }
 
 impl Propagator for CircuitPropagator<'_> {
@@ -474,8 +394,12 @@ impl Propagator for CircuitPropagator<'_> {
         p: Lit,
     ) -> Result<(), Conflict<Lit>> {
         let node = p.node();
-        // The node itself, if it is an AND gate whose output changed.
+        // The node itself, if it is an AND gate whose output changed. An
+        // output of 0 joins the J-frontier, in trail order.
         if self.aig.node(node).is_and() {
+            if p.is_complemented() && self.state.jnode_decisions {
+                self.state.jqueue.push(node.index() as u32);
+            }
             self.propagate_gate(ctx, node)?;
         }
         // Gates this node feeds: one contiguous CSR stream. Warm the next
@@ -567,27 +491,23 @@ impl Propagator for CircuitPropagator<'_> {
         }
     }
 
-    fn on_backtrack(&mut self, ctx: &SearchContext<Lit>, unassigned: &[Lit]) {
-        if !self.state.jnode_decisions {
-            return;
+    /// Pops the J-frontier entries whose output lost its value. Entries
+    /// are in trail order and a backtrack unassigns a trail suffix, so
+    /// they form a suffix of the queue. (Trail literals a conflict left
+    /// unprocessed were never queued; they sit at the conflict level,
+    /// which the backjump undoes.)
+    fn on_backtrack(&mut self, ctx: &SearchContext<Lit>) {
+        let queue = &mut self.state.jqueue;
+        while queue
+            .last()
+            .is_some_and(|&g| ctx.value(g as usize) == UNDEF)
+        {
+            queue.pop();
         }
-        // Recompute J-node status around every unassigned node and
-        // re-expose node candidates for gates that stayed unjustified.
-        for &lit in unassigned {
-            let node = lit.node();
-            if let Node::And(a, b) = self.aig.node(node) {
-                self.refresh_gate(ctx, node, a, b);
-            }
-            for i in self.state.fanouts.bounds(node.index()) {
-                let g = self.state.fanouts.at(i);
-                if let Node::And(a, b) = self.aig.node(g) {
-                    self.refresh_gate(ctx, g, a, b);
-                }
-            }
-            if self.state.cand_count[node.index()] > 0 {
-                self.state.jheap.insert(node.index() as u32, ctx.activity());
-            }
-        }
+        debug_assert!(
+            queue.iter().all(|&g| ctx.value(g as usize) == FALSE),
+            "J-frontier entries below the popped suffix keep output 0"
+        );
     }
 
     fn on_learned(&mut self, ctx: &SearchContext<Lit>, cref: u32) {
@@ -598,12 +518,6 @@ impl Propagator for CircuitPropagator<'_> {
             // free literals decision candidates.
             let lits: [Lit; 2] = [ctx.clause_lits(cref)[0], ctx.clause_lits(cref)[1]];
             self.push_clause_candidates(ctx, cref, &lits);
-        }
-    }
-
-    fn on_bump(&mut self, ctx: &SearchContext<Lit>, var: usize) {
-        if self.state.jnode_decisions {
-            self.state.jheap.update(var as u32, ctx.activity());
         }
     }
 }
@@ -817,3 +731,6 @@ impl<'a> Solver<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod frontier_tests;

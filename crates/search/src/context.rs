@@ -321,8 +321,6 @@ pub struct SearchContext<L> {
     /// Epoch-stamped scratch for glue (LBD) computation.
     pub(crate) level_stamp: Vec<u64>,
     pub(crate) level_epoch: u64,
-    /// Reusable backtrack scratch (the unassigned suffix of the trail).
-    pub(crate) backtrack_buf: Vec<L>,
     /// Conflict-analysis scratch: the clause being resolved.
     pub(crate) analyze_clause_buf: Vec<L>,
     /// Conflict-analysis scratch: the learnt clause under construction,
@@ -387,7 +385,6 @@ impl<L: SearchLit> SearchContext<L> {
             restart: RestartState::new(options.restart),
             level_stamp: vec![0; n_vars + 1],
             level_epoch: 0,
-            backtrack_buf: Vec::new(),
             analyze_clause_buf: Vec::new(),
             analyze_learnt_buf: Vec::new(),
             analyze_reason_buf: Vec::new(),

@@ -88,22 +88,16 @@ pub trait Propagator {
         let _ = (ctx, from);
     }
 
-    /// Called after the engine backtracked; `unassigned` holds the trail
-    /// suffix that was unassigned, in assignment order.
-    fn on_backtrack(&mut self, ctx: &SearchContext<Self::Lit>, unassigned: &[Self::Lit]) {
-        let _ = (ctx, unassigned);
+    /// Called after the engine backtracked (the trail is already
+    /// truncated, so everything above `ctx.trail().len()` is unassigned).
+    fn on_backtrack(&mut self, ctx: &SearchContext<Self::Lit>) {
+        let _ = ctx;
     }
 
     /// Called after a clause was attached to the kernel arena (learned or
     /// ingested); its literals are `ctx.clause_lits(cref)`.
     fn on_learned(&mut self, ctx: &SearchContext<Self::Lit>, cref: u32) {
         let _ = (ctx, cref);
-    }
-
-    /// Called after a variable's VSIDS activity was bumped (the kernel
-    /// already updated its own heap when it maintains one).
-    fn on_bump(&mut self, ctx: &SearchContext<Self::Lit>, var: usize) {
-        let _ = (ctx, var);
     }
 }
 
@@ -494,7 +488,7 @@ fn bump_clause_use<L: SearchLit>(ctx: &mut SearchContext<L>, reason: Reason) {
     }
 }
 
-fn bump_var<P: Propagator>(ctx: &mut SearchContext<P::Lit>, prop: &mut P, var: usize) {
+fn bump_var<L: SearchLit>(ctx: &mut SearchContext<L>, var: usize) {
     ctx.activity[var] += ctx.bump;
     if ctx.activity[var] > 1e100 {
         ctx.rescale_activities();
@@ -502,7 +496,6 @@ fn bump_var<P: Propagator>(ctx: &mut SearchContext<P::Lit>, prop: &mut P, var: u
     if ctx.maintain_heap {
         ctx.heap.update(var as u32, &ctx.activity);
     }
-    prop.on_bump(ctx, var);
 }
 
 /// First-UIP conflict analysis. Returns the backjump level and the learnt
@@ -535,7 +528,7 @@ fn analyze<P: Propagator>(
             let v = q.var_index();
             if ctx.seen_stamp[v] != ctx.seen_epoch && ctx.assign[v].level > 0 {
                 ctx.seen_stamp[v] = ctx.seen_epoch;
-                bump_var(ctx, prop, v);
+                bump_var(ctx, v);
                 if ctx.assign[v].level == current {
                     counter += 1;
                 } else {
@@ -664,11 +657,8 @@ pub fn backtrack<P: Propagator>(ctx: &mut SearchContext<P::Lit>, prop: &mut P, l
     }
     ctx.stats.backtracks += 1;
     let target = ctx.trail_lim[level as usize];
-    let mut unassigned = std::mem::take(&mut ctx.backtrack_buf);
-    unassigned.clear();
-    unassigned.extend_from_slice(&ctx.trail[target..]);
-    for &lit in unassigned.iter().rev() {
-        let var = lit.var_index();
+    for i in (target..ctx.trail.len()).rev() {
+        let var = ctx.trail[i].var_index();
         ctx.values[var] = UNDEF;
         ctx.assign[var].reason = crate::context::PackedReason::AXIOM;
         if ctx.maintain_heap {
@@ -678,8 +668,7 @@ pub fn backtrack<P: Propagator>(ctx: &mut SearchContext<P::Lit>, prop: &mut P, l
     ctx.trail.truncate(target);
     ctx.trail_lim.truncate(level as usize);
     ctx.qhead = target;
-    prop.on_backtrack(ctx, &unassigned);
-    ctx.backtrack_buf = unassigned;
+    prop.on_backtrack(ctx);
 }
 
 /// Adds a clause known to be implied by the backend's constraints (the

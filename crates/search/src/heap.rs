@@ -1,8 +1,8 @@
 //! Indexed max-heap over variable activities (the VSIDS order).
 //!
-//! This is the single heap implementation of the workspace: both the
-//! kernel's own decision heap and the circuit solver's J-node candidate
-//! heap are instances of it.
+//! This is the single heap implementation of the workspace: the kernel's
+//! decision heap (plain-VSIDS mode and the CNF backend). The circuit
+//! solver's J-node decisions scan its J-frontier queue instead.
 
 /// A binary max-heap of variable indices keyed by an external activity
 /// array, with an index table for O(log n) `update` when an activity is

@@ -9,6 +9,8 @@
 //! * `catch_unwind` around the whole solve, so a panicking job becomes a
 //!   `result` frame with `status: "panicked"` while the daemon keeps
 //!   serving;
+//! * a release-build check of every SAT model against the instance, so a
+//!   wrong model becomes `status: "internal_error"`, never an answer;
 //! * a single retry with exponential backoff under a **halved** memory
 //!   budget when the first attempt died of memory pressure — transient
 //!   co-tenancy spikes recover, genuine hogs fail cleanly the second time.
@@ -244,14 +246,14 @@ pub fn execute(
 /// Checks a finished job's model before it leaves the process: a daemon
 /// must not propagate a bad model to a client that trusts it. A model that
 /// has the wrong arity or misses the objective becomes
-/// [`JobStatus::Panicked`], an internal error the circuit breaker charges.
+/// [`JobStatus::InternalError`], which the circuit breaker charges.
 fn checked(status: JobStatus, instance: &LoadedInstance) -> JobStatus {
     match status {
         JobStatus::Sat(model)
             if model.len() != instance.aig.inputs().len()
                 || !csat_core::check_model(&instance.aig, &model, instance.objective) =>
         {
-            JobStatus::Panicked
+            JobStatus::InternalError
         }
         other => other,
     }
@@ -432,7 +434,10 @@ mod tests {
         let good = JobStatus::Sat(vec![true, true]);
         assert_eq!(checked(good.clone(), &instance), good);
         for bad in [vec![true, false], vec![true], vec![true, true, true]] {
-            assert_eq!(checked(JobStatus::Sat(bad), &instance), JobStatus::Panicked);
+            assert_eq!(
+                checked(JobStatus::Sat(bad), &instance),
+                JobStatus::InternalError
+            );
         }
         let unsat = JobStatus::Unsat;
         assert_eq!(checked(unsat.clone(), &instance), unsat);

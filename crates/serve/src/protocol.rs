@@ -342,9 +342,11 @@ pub enum JobStatus {
     Unsat,
     /// Stopped without an answer for this reason.
     Unknown(Interrupt),
-    /// The job panicked, or its model failed the release-build check; the
-    /// daemon caught it and kept serving.
+    /// The job panicked; the daemon caught it and kept serving.
     Panicked,
+    /// The solver answered SAT with a model that failed the release-build
+    /// check against the instance; the model is withheld.
+    InternalError,
 }
 
 impl JobStatus {
@@ -355,6 +357,7 @@ impl JobStatus {
             JobStatus::Unsat => "unsat",
             JobStatus::Unknown(_) => "unknown",
             JobStatus::Panicked => "panicked",
+            JobStatus::InternalError => "internal_error",
         }
     }
 

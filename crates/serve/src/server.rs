@@ -128,6 +128,7 @@ struct ServerState {
     results_unsat: AtomicU64,
     results_unknown: AtomicU64,
     results_panicked: AtomicU64,
+    results_internal_error: AtomicU64,
 }
 
 impl ServerState {
@@ -141,9 +142,22 @@ impl ServerState {
             JobStatus::Unsat => &self.results_unsat,
             JobStatus::Unknown(_) => &self.results_unknown,
             JobStatus::Panicked => &self.results_panicked,
+            JobStatus::InternalError => &self.results_internal_error,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Whether a finished job charges the circuit breaker. Panics, failed
+/// model checks and wedge kicks are hard failures of the *instance*.
+/// Cancels, resource aborts and runs out of a client-chosen `timeout_ms`
+/// are the client's business, not the instance's — a caller submitting
+/// with a 1ms budget must not open the breaker for everyone else — so a
+/// timeout counts only when the daemon itself imposed the deadline.
+fn is_hard_failure(status: &JobStatus, kicked: bool, daemon_deadline: bool) -> bool {
+    kicked
+        || matches!(status, JobStatus::Panicked | JobStatus::InternalError)
+        || (daemon_deadline && matches!(status, JobStatus::Unknown(Interrupt::Timeout)))
 }
 
 /// A running daemon core (no transports — see [`run`] for the wired-up
@@ -184,6 +198,7 @@ impl Server {
             results_unsat: AtomicU64::new(0),
             results_unknown: AtomicU64::new(0),
             results_panicked: AtomicU64::new(0),
+            results_internal_error: AtomicU64::new(0),
             config,
         });
         let workers = (0..workers)
@@ -492,7 +507,11 @@ impl Server {
             .field_u64("sat", state.results_sat.load(Ordering::Relaxed))
             .field_u64("unsat", state.results_unsat.load(Ordering::Relaxed))
             .field_u64("unknown", state.results_unknown.load(Ordering::Relaxed))
-            .field_u64("panicked", state.results_panicked.load(Ordering::Relaxed));
+            .field_u64("panicked", state.results_panicked.load(Ordering::Relaxed))
+            .field_u64(
+                "internal_error",
+                state.results_internal_error.load(Ordering::Relaxed),
+            );
         o.finish()
     }
 
@@ -552,20 +571,10 @@ fn worker_loop(state: &Arc<ServerState>, index: usize) {
         slot.busy.store(false, Ordering::SeqCst);
         *slot.token.lock().unwrap() = None;
         let kicked = slot.kicked.swap(false, Ordering::Relaxed);
-        // Breaker: panics and wedge kicks are hard failures of the
-        // *instance*; definitive answers close the entry. Cancels,
-        // resource aborts and runs out of a client-chosen `timeout_ms`
-        // are the client's business, not the instance's — a caller
-        // submitting with a 1ms budget must not open the breaker for
-        // everyone else. Timeouts count only when the daemon itself
-        // imposed the deadline.
         // Breaker and registry are settled BEFORE the result frame goes
         // out: a client that reacts to the result (resubmits the id, or
         // expects the breaker to have tripped) must see updated state.
-        let hard_failure = kicked
-            || matches!(outcome.status, JobStatus::Panicked)
-            || (job.req.timeout_ms.is_none()
-                && matches!(outcome.status, JobStatus::Unknown(Interrupt::Timeout)));
+        let hard_failure = is_hard_failure(&outcome.status, kicked, job.req.timeout_ms.is_none());
         if hard_failure {
             state.breaker.record_failure(job.instance.fingerprint);
         } else if matches!(outcome.status, JobStatus::Sat(_) | JobStatus::Unsat) {
@@ -1116,6 +1125,23 @@ mod tests {
         );
         server.request_drain();
         server.shutdown();
+    }
+
+    #[test]
+    fn internal_errors_charge_the_breaker_and_are_counted() {
+        let timeout = JobStatus::Unknown(Interrupt::Timeout);
+        assert!(is_hard_failure(&JobStatus::InternalError, false, false));
+        assert!(is_hard_failure(&JobStatus::Panicked, false, false));
+        assert!(is_hard_failure(&JobStatus::Unsat, true, false));
+        assert!(is_hard_failure(&timeout, false, true));
+        assert!(!is_hard_failure(&timeout, false, false));
+        assert!(!is_hard_failure(&JobStatus::Sat(vec![]), false, true));
+        let server = Server::start(quick_config());
+        server.state.count_status(&JobStatus::InternalError);
+        server.request_drain();
+        let summary = server.shutdown();
+        assert!(summary.contains("\"internal_error\": 1"), "{summary}");
+        assert!(summary.contains("\"panicked\": 0"), "{summary}");
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Prints per-instance verdicts and search statistics for the paper preset
 //! (and the default J-node preset) over a deterministic instance suite.
+//! The `paper+explicit` row runs the whole paper pipeline — correlations,
+//! the explicit-learning pass, then the final solve — and prints the
+//! pass's sub-problem counts next to the cumulative statistics.
 //!
 //! This is the refactor-parity harness: run it before and after a change to
 //! the search kernel and diff the output. Any drift in verdicts, conflicts
@@ -9,6 +12,7 @@
 //! cargo run --release --example paper_preset_stats
 //! ```
 
+use csat_core::explicit::{self, ExplicitOptions};
 use csat_core::{Solver, SolverOptions};
 use csat_netlist::{generators, miter};
 use csat_sim::{find_correlations, SimulationOptions};
@@ -22,14 +26,23 @@ fn sim_options() -> SimulationOptions {
 }
 
 fn report(name: &str, aig: &csat_netlist::Aig, objective: csat_netlist::Lit) {
-    for (preset, options) in [
-        ("jnode", SolverOptions::default()),
-        ("paper", SolverOptions::paper()),
+    for (preset, options, with_explicit) in [
+        ("jnode", SolverOptions::default(), false),
+        ("paper", SolverOptions::paper(), false),
+        ("paper+explicit", SolverOptions::paper(), true),
     ] {
         let mut solver = Solver::new(aig, options);
+        let mut explicit_counts = String::new();
         if options.implicit_learning {
             let correlations = find_correlations(aig, &sim_options());
             solver.set_correlations(&correlations);
+            if with_explicit {
+                let r = explicit::run(&mut solver, &correlations, &ExplicitOptions::default());
+                explicit_counts = format!(
+                    " subproblems={} refuted={} aborted={} satisfiable={} witnessed={}",
+                    r.subproblems, r.refuted, r.aborted, r.satisfiable, r.witnessed
+                );
+            }
         }
         let verdict = solver.solve(objective);
         let label = if verdict.is_sat() {
@@ -41,7 +54,7 @@ fn report(name: &str, aig: &csat_netlist::Aig, objective: csat_netlist::Lit) {
         };
         let stats = solver.stats();
         println!(
-            "{name} {preset} {label} conflicts={} decisions={} propagations={} restarts={}",
+            "{name} {preset} {label} conflicts={} decisions={} propagations={} restarts={}{explicit_counts}",
             stats.conflicts, stats.decisions, stats.propagations, stats.restarts
         );
     }
